@@ -91,26 +91,15 @@ func main() {
 		}
 	}
 
-	// The parallel comparisons (sweep worker pool, intra-cell shard pool)
-	// are legitimately skipped on a 1-CPU host — but a multi-CPU host that
-	// skipped or omitted them measured less than it should have: the
-	// speedup and byte-identity evidence is missing from the report.
+	// The sweep parallel comparison is legitimately skipped on a 1-CPU
+	// host — but a multi-CPU host that skipped or omitted it measured less
+	// than it should have: the speedup and byte-identity evidence is
+	// missing from the report.
 	if cur.NumCPU > 1 {
 		if s := cur.Sweep; s == nil {
 			warn("sweep comparison missing from report on a %d-CPU host", cur.NumCPU)
 		} else if s.IdenticalOutput == nil {
 			warn("sweep parallel leg skipped on a %d-CPU host (%s)", cur.NumCPU, s.Note)
-		}
-		if s := cur.Shard; s == nil {
-			warn("shard scaling missing from report on a %d-CPU host", cur.NumCPU)
-		} else if len(s.Legs) == 0 {
-			warn("shard scaling legs skipped on a %d-CPU host (%s)", cur.NumCPU, s.Note)
-		} else {
-			for _, l := range s.Legs {
-				if !l.IdenticalOutput {
-					warn("shard %s: shards=%d result digest differs from serial", s.Case, l.Shards)
-				}
-			}
 		}
 	}
 }

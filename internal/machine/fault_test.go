@@ -217,26 +217,4 @@ func TestMachineConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid fault config validated")
 	}
-	bad = machine.DefaultConfig()
-	bad.Shards = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative shard count validated")
-	}
-}
-
-// Shards must survive the historical Config{} defaulting shorthand
-// (field-by-field carry-over, like Audit and AdaptiveQuantum) and size
-// the machine's intra-step pool; the zero value stays serial.
-func TestConfigShardsCarriedAndPooled(t *testing.T) {
-	m := machine.New(machine.Config{Shards: 4}, xmem.NVMOnly())
-	if got := m.Cfg.Shards; got != 4 {
-		t.Fatalf("Shards dropped by defaulting: %d", got)
-	}
-	if got := m.ShardPool().Workers(); got != 4 {
-		t.Fatalf("ShardPool workers = %d, want 4", got)
-	}
-	m = machine.New(machine.Config{}, xmem.NVMOnly())
-	if got := m.ShardPool().Workers(); got != 1 {
-		t.Fatalf("default ShardPool workers = %d, want 1 (serial)", got)
-	}
 }

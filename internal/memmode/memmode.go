@@ -14,17 +14,29 @@
 // deterministic Monte Carlo over set compositions. For a single uniform
 // zone this reduces to the closed form (1−e^{−λ})/λ — the unit tests check
 // the estimator against it.
+//
+// The model is refreshed every modelRefresh of simulated time from the
+// zone rates of the latest traffic pass; a zone absent from that pass
+// (its workload finished or stopped) has zero rates and no longer
+// competes for cache sets. The Monte Carlo draws from one seeded stream
+// in first-observed zone order, so results are bit-reproducible.
 package memmode
 
 import (
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
-	"github.com/tieredmem/hemem/internal/shard"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-const lineSize = 64
+const (
+	lineSize = 64
+	// modelRefresh is how often the Monte-Carlo occupancy model is
+	// recomputed (simulated ns).
+	modelRefresh = 50 * sim.Millisecond
+	// mcSamples is the number of set compositions sampled per zone.
+	mcSamples = 2000
+)
 
 // zone is the cache model's view of one component page set.
 type zone struct {
@@ -44,25 +56,13 @@ type zone struct {
 	// accumulate while a new pass overwrites — without a per-quantum
 	// "seen" map allocation.
 	seenGen uint64
-
-	// Incremental scratch-row cache: modelRead/modelWrite stamp the
-	// traffic inputs the cached row was derived from, so refreshModel
-	// skips recomputing perLineRate/dirtyFrac/NewPoissonPrep (the exp(-λ)
-	// transcendental) for zones whose rates are unchanged since the last
-	// pass. The cached values are pure functions of the inputs, so reuse
-	// is byte-identical to recomputation.
-	modelCached bool
-	modelActive bool // cached perLineRate > 0: the zone joins the scratch table
-	modelRead   float64
-	modelWrite  float64
-	modelRow    zoneModel
 }
 
 // zoneModel is one zone's invariant state for a refreshModel pass,
 // flattened out of the zone structs so the Monte-Carlo inner loop walks a
 // compact slice, touches no maps, and calls no transcendentals: the
 // per-line rate and dirty fraction are hoisted, and the Poisson mean
-// λ = lines/cacheSets is prepped once so each of the zones × MCSamples
+// λ = lines/cacheSets is prepped once so each of the zones × mcSamples
 // draws reuses the cached exp(-λ) instead of recomputing it.
 type zoneModel struct {
 	z       *zone
@@ -113,40 +113,21 @@ type MemoryMode struct {
 	// results differ run to run.
 	order []*zone
 	// scratch is the reusable flattened zone table refreshModel builds
-	// each pass (see zoneModel).
+	// each pass (see zoneModel); rates is its per-sample scratch of each
+	// zone's competing line-rate mass, sized to match every pass.
 	scratch []zoneModel
+	rates   []float64
 	// gen counts ObserveTraffic passes; see zone.seenGen.
 	gen       uint64
 	lastModel int64
-	// rowsBuilt/rowsReused count scratch-row recomputations vs cache hits
-	// across refreshModel passes (see zone.modelCached), for tests and
-	// reports.
-	rowsBuilt  int64
-	rowsReused int64
-	// pool is the machine's intra-step worker pool. With >= 2 workers
-	// refreshModel shards target zones across it: each target draws from
-	// its own SplitStable sub-stream of shardRoot keyed by (pass, target
-	// index), so results are identical for every worker count >= 2 — but
-	// they are a different (equally seeded) Monte-Carlo stream than the
-	// serial path, which is pinned bit for bit by the goldens and so
-	// never changes. passes counts sharded refreshes to key the streams.
-	pool      *shard.Pool
-	shardRoot *sim.Rand
-	passes    uint64
-	// ModelRefresh controls how often the Monte-Carlo occupancy model is
-	// recomputed (simulated ns).
-	ModelRefresh int64
-	// MCSamples is the number of set compositions sampled per zone.
-	MCSamples int
+	// rowsBuilt counts zones processed across refreshModel passes, for
+	// tests and reports.
+	rowsBuilt int64
 }
 
 // New returns a memory-mode manager.
 func New() *MemoryMode {
-	return &MemoryMode{
-		zones:        make(map[*vm.PageSet]*zone),
-		ModelRefresh: 50 * sim.Millisecond,
-		MCSamples:    2000,
-	}
+	return &MemoryMode{zones: make(map[*vm.PageSet]*zone)}
 }
 
 // Name implements machine.Manager.
@@ -156,8 +137,6 @@ func (mm *MemoryMode) Name() string { return "MM" }
 func (mm *MemoryMode) Attach(m *machine.Machine) {
 	mm.m = m
 	mm.rng = sim.NewRand(m.Cfg.Seed ^ 0x3153)
-	mm.pool = m.ShardPool()
-	mm.shardRoot = sim.NewRand(m.Cfg.Seed ^ 0x3153).SplitLabel("mm-shard")
 	mm.cacheSets = float64(m.Cfg.DRAMSize / lineSize)
 	mm.lastModel = -1
 	var ok bool
@@ -203,7 +182,7 @@ func (mm *MemoryMode) ObserveTraffic(now int64, comps []machine.Component, occRa
 			z.seenGen = mm.gen
 		}
 	}
-	if mm.lastModel < 0 || now-mm.lastModel >= mm.ModelRefresh {
+	if mm.lastModel < 0 || now-mm.lastModel >= modelRefresh {
 		mm.refreshModel()
 		mm.lastModel = now
 	}
@@ -221,74 +200,51 @@ func linesOf(bytes int64) float64 {
 // Monte Carlo over cache-set compositions. The active zones are flattened
 // into a reusable scratch table with their per-line rate, dirty fraction,
 // and prepped Poisson constants, so the sampling loops below perform only
-// multiplies, divides, and RNG draws. Scratch rows are cached per zone and
-// rebuilt only when the zone's traffic inputs changed since the last pass
-// (steady workloads reuse nearly every row); the cached values are pure
-// functions of the inputs, so reuse is byte-identical to recomputation.
-//
-// The Monte Carlo runs serially on mm.rng when the machine's shard pool is
-// serial — the draw sequence and float summation order are exactly those
-// of the original unflattened model, keeping seeded MM results
-// bit-identical — and shards target zones across the pool otherwise (see
-// the pool field for the stream-splitting contract).
+// multiplies, divides, and RNG draws. Targets are sampled in table order
+// on mm.rng, so seeded results are bit-reproducible.
 func (mm *MemoryMode) refreshModel() {
 	zs := mm.scratch[:0]
 	for _, z := range mm.order {
-		if !z.modelCached || z.readLineRate != z.modelRead || z.writeLineRate != z.modelWrite {
-			pl := z.perLineRate()
-			z.modelActive = pl > 0
-			if z.modelActive {
-				z.modelRow = zoneModel{
-					z:       z,
-					perLine: pl,
-					dirty:   z.dirtyFrac(),
-					prep:    sim.NewPoissonPrep(z.lines / mm.cacheSets),
-				}
-			}
-			z.modelCached = true
-			z.modelRead = z.readLineRate
-			z.modelWrite = z.writeLineRate
-			mm.rowsBuilt++
-		} else {
-			mm.rowsReused++
+		if z.seenGen != mm.gen {
+			// No component touched the zone this pass: its traffic has
+			// stopped, so it must not keep competing for cache sets.
+			z.readLineRate, z.writeLineRate = 0, 0
 		}
-		if z.modelActive {
-			zs = append(zs, z.modelRow)
+		if pl := z.perLineRate(); pl > 0 {
+			zs = append(zs, zoneModel{
+				z:       z,
+				perLine: pl,
+				dirty:   z.dirtyFrac(),
+				prep:    sim.NewPoissonPrep(z.lines / mm.cacheSets),
+			})
 		}
 	}
+	mm.rowsBuilt += int64(len(mm.order))
 	mm.scratch = zs
-	if mm.pool.Workers() <= 1 {
-		for ti := range zs {
-			mcTarget(zs, ti, mm.rng, mm.MCSamples)
-		}
-		return
+	if cap(mm.rates) < len(zs) {
+		mm.rates = make([]float64, len(zs))
 	}
-	mm.passes++
-	passRoot := mm.shardRoot.SplitStable(mm.passes)
-	mm.pool.Run(len(zs), func(ti int) {
-		mcTarget(zs, ti, passRoot.SplitStable(uint64(ti)), mm.MCSamples)
-	})
+	mm.rates = mm.rates[:len(zs)]
+	for ti := range zs {
+		mm.mcTarget(ti)
+	}
 }
 
 // mcTarget runs the Monte-Carlo sampling loop for one target zone of the
-// scratch table, drawing set compositions from rng. Each call touches only
-// its own row (and the shared read-only table), so sharded passes may run
-// targets concurrently.
-func mcTarget(zs []zoneModel, ti int, rng *sim.Rand, samples int) {
+// scratch table, drawing set compositions from mm.rng.
+func (mm *MemoryMode) mcTarget(ti int) {
+	zs, rateByZone, rng := mm.scratch, mm.rates, mm.rng
 	target := &zs[ti]
 	a := target.perLine
 	var hitSum, wbSum, missSum float64
-	for s := 0; s < samples; s++ {
+	for s := 0; s < mcSamples; s++ {
 		// Competing line-rate mass in this cache set.
 		var compete float64
-		var rateByZone [16]float64
 		for j := range zs {
 			k := rng.PoissonCached(zs[j].prep)
 			r := float64(k) * zs[j].perLine
 			compete += r
-			if j < len(rateByZone) {
-				rateByZone[j] = r
-			}
+			rateByZone[j] = r
 		}
 		// The target line hits iff it was the last access to
 		// its set: probability a/(a+compete). (Poissonization:
@@ -306,14 +262,12 @@ func mcTarget(zs []zoneModel, ti int, rng *sim.Rand, samples int) {
 			missSum += miss
 			var wb float64
 			for j := range zs {
-				if j < len(rateByZone) {
-					wb += rateByZone[j] / compete * zs[j].dirty
-				}
+				wb += rateByZone[j] / compete * zs[j].dirty
 			}
 			wbSum += miss * wb
 		}
 	}
-	target.z.hit = hitSum / float64(samples)
+	target.z.hit = hitSum / mcSamples
 	if missSum > 0 {
 		target.z.wb = wbSum / missSum
 	} else {
@@ -322,11 +276,11 @@ func mcTarget(zs []zoneModel, ti int, rng *sim.Rand, samples int) {
 	target.z.valid = true
 }
 
-// ModelRowStats reports how many scratch-table rows refreshModel rebuilt
-// vs reused from the per-zone cache across all passes so far, for tests
-// and reports.
+// ModelRowStats reports how many zone rows refreshModel has built across
+// all passes so far, for tests and reports. Every pass rebuilds every
+// row, so reused is always 0.
 func (mm *MemoryMode) ModelRowStats() (built, reused int64) {
-	return mm.rowsBuilt, mm.rowsReused
+	return mm.rowsBuilt, 0
 }
 
 // HitRate returns the modelled hit rate for the zone backing set, for

@@ -1,14 +1,17 @@
 package memmode_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/gups"
 	"github.com/tieredmem/hemem/internal/machine"
+	"github.com/tieredmem/hemem/internal/mem"
 	"github.com/tieredmem/hemem/internal/memmode"
 	"github.com/tieredmem/hemem/internal/sim"
+	"github.com/tieredmem/hemem/internal/vm"
 )
 
 // runGUPS runs uniform or hot-set GUPS under a manager and returns score
@@ -107,13 +110,9 @@ func TestWriteSkewMMvsHeMem(t *testing.T) {
 	}
 }
 
-// Zones whose traffic inputs are unchanged between refreshes must reuse
-// their cached scratch rows instead of rebuilding them, and a rate change
-// in one zone must rebuild exactly that zone's row. (Byte-identity of a
-// reused row vs recomputation is checked by the white-box test in
-// memmode_internal_test.go; the pre-cache model is pinned by the repo
-// goldens.)
-func TestIncrementalModelRowsReused(t *testing.T) {
+// ModelRowStats counts every observed zone once per refresh: rows are
+// pure functions of their inputs and are rebuilt each pass, never reused.
+func TestModelRowStatsCountsZonesPerPass(t *testing.T) {
 	mm := memmode.New()
 	m := machine.New(machine.DefaultConfig(), mm)
 	setA := m.AS.Map("a", 64*sim.MB).AsSet()
@@ -123,50 +122,67 @@ func TestIncrementalModelRowsReused(t *testing.T) {
 		{Set: setB, Share: 1, ReadBytes: 128},
 	}
 	rates := []float64{0.25, 0.125}
-
-	mm.ObserveTraffic(0, comps, rates) // first pass builds both rows
-	if b, r := mm.ModelRowStats(); b != 2 || r != 0 {
-		t.Fatalf("first refresh: built=%d reused=%d, want 2/0", b, r)
+	for i, want := range []int64{2, 4, 6} {
+		mm.ObserveTraffic(int64(i)*50*sim.Millisecond, comps, rates)
+		if b, r := mm.ModelRowStats(); b != want || r != 0 {
+			t.Fatalf("refresh %d: built=%d reused=%d, want %d/0", i, b, r, want)
+		}
 	}
-	// Identical inputs: both rows reused, model still refreshed.
-	hitA := mm.HitRate(setA)
-	mm.ObserveTraffic(50*sim.Millisecond, comps, rates)
-	if b, r := mm.ModelRowStats(); b != 2 || r != 2 {
-		t.Fatalf("unchanged refresh: built=%d reused=%d, want 2/2", b, r)
-	}
-	if got := mm.HitRate(setA); math.Abs(got-hitA) > 0.05 {
-		t.Fatalf("cached-row refresh drifted: hit %v vs %v", got, hitA)
-	}
-	// One zone's rate changes: exactly its row is rebuilt.
-	rates[1] = 0.5
-	mm.ObserveTraffic(100*sim.Millisecond, comps, rates)
-	if b, r := mm.ModelRowStats(); b != 3 || r != 3 {
-		t.Fatalf("changed-zone refresh: built=%d reused=%d, want 3/3", b, r)
+	// A pass between refreshes observes traffic but builds no rows.
+	mm.ObserveTraffic(110*sim.Millisecond, comps, rates)
+	if b, _ := mm.ModelRowStats(); b != 6 {
+		t.Fatalf("non-refresh pass built rows: %d, want 6", b)
 	}
 }
 
-// The sharded Monte-Carlo path must produce identical results at every
-// worker count >= 2: each target zone draws from its own sub-stream keyed
-// by (pass, target index), independent of which worker runs it.
-func TestShardedModelIdenticalAcrossWorkerCounts(t *testing.T) {
-	run := func(shards int) (float64, float64) {
-		cfg := machine.DefaultConfig()
-		cfg.Shards = shards
-		mm := memmode.New()
-		m := machine.New(cfg, mm)
-		g := gups.New(m, gups.Config{
-			Threads: 16, WorkingSet: 64 * sim.GB, HotSet: 8 * sim.GB, Seed: 17,
-		})
-		m.Warm()
-		m.Run(2 * sim.Second)
-		return g.Score(), mm.HitRate(g.HotPages())
+// A zone whose traffic stops must stop competing for cache sets: once B
+// is absent from the traffic passes, A's hit rate returns to its solo
+// value instead of staying depressed by B's last-seen rates.
+func TestStoppedZoneStopsCompeting(t *testing.T) {
+	mm := memmode.New()
+	m := machine.New(machine.DefaultConfig(), mm)
+	setA := m.AS.Map("a", 64*sim.GB).AsSet()
+	setB := m.AS.Map("b", 256*sim.GB).AsSet()
+	compA := machine.Component{Set: setA, Share: 1, ReadBytes: 64}
+	compB := machine.Component{Set: setB, Share: 1, ReadBytes: 64}
+
+	// Equal per-line rates: B has 4x A's lines, so 4x A's line rate.
+	mm.ObserveTraffic(0, []machine.Component{compA, compB}, []float64{0.25, 1})
+	shared := mm.HitRate(setA)
+
+	mm.ObserveTraffic(50*sim.Millisecond, []machine.Component{compA}, []float64{0.25})
+	lambda := float64(64*sim.GB) / float64(192*sim.GB)
+	solo := (1 - math.Exp(-lambda)) / lambda
+	got := mm.HitRate(setA)
+	if math.Abs(got-solo) > 0.02 {
+		t.Fatalf("A's hit rate after B stopped = %.3f (with B: %.3f), want solo %.3f", got, shared, solo)
 	}
-	s2, h2 := run(2)
-	for _, shards := range []int{4, 8} {
-		if s, h := run(shards); s != s2 || h != h2 {
-			t.Fatalf("shards=%d: score %v vs %v, hot hit rate %v vs %v — sharded MC depends on worker count",
-				shards, s, s2, h, h2)
+	if shared > solo-0.1 {
+		t.Fatalf("A's hit rate with B competing = %.3f, want well below solo %.3f", shared, solo)
+	}
+}
+
+// Every zone's dirty lines feed the writeback estimate, however many
+// zones there are: with 24 zones where only zones 16–23 are written, a
+// clean zone's misses still evict dirty victims.
+func TestWritebackCountsEveryZone(t *testing.T) {
+	mm := memmode.New()
+	m := machine.New(machine.DefaultConfig(), mm)
+	comps := make([]machine.Component, 24)
+	rates := make([]float64, len(comps))
+	for i := range comps {
+		set := m.AS.Map(fmt.Sprintf("z%d", i), 16*sim.GB).AsSet()
+		comps[i] = machine.Component{Set: set, Share: 1, ReadBytes: 64}
+		if i >= 16 {
+			comps[i] = machine.Component{Set: set, Share: 1, WriteBytes: 64}
 		}
+		rates[i] = 0.1
+	}
+	mm.ObserveTraffic(0, comps, rates)
+	nvm, _ := m.DevOf(vm.TierNVM)
+	cc := mm.ComponentCost(comps[0])
+	if wb := cc.Bytes[nvm][mem.Write]; wb <= 0 {
+		t.Fatalf("clean zone 0 NVM writeback bytes = %v, want > 0 (zones 16-23 are dirty)", wb)
 	}
 }
 
