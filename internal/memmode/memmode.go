@@ -10,19 +10,21 @@
 // disjoint zones (one per component page set). Cache-set composition is
 // Poisson per zone (n_z/S lines expected per set), and within a set the
 // cached line is the most recently accessed, so a specific line of zone z
-// is resident with probability E[a_z / (a_z + Σ_j k_j·a_j)], estimated by
-// deterministic Monte Carlo over set compositions. For a single uniform
-// zone this reduces to the closed form (1−e^{−λ})/λ — the unit tests check
-// the estimator against it.
+// is resident with probability E[a_z / (a_z + Σ_j k_j·a_j)]. That
+// expectation and the writeback mass have exact integral forms (see
+// occupancy), evaluated by one deterministic quadrature with no RNG. For
+// a single uniform zone the hit rate is (1−e^{−λ})/λ.
 //
 // The model is refreshed every modelRefresh of simulated time from the
-// zone rates of the latest traffic pass; a zone absent from that pass
-// (its workload finished or stopped) has zero rates and no longer
-// competes for cache sets. The Monte Carlo draws from one seeded stream
-// in first-observed zone order, so results are bit-reproducible.
+// zone sizes and rates of the latest traffic pass; a zone absent from
+// that pass (its workload finished or stopped) stops competing for cache
+// sets, and is dropped once its set is empty. Zones are summed in
+// first-observed order, so results are bit-reproducible.
 package memmode
 
 import (
+	"math"
+
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
 	"github.com/tieredmem/hemem/internal/sim"
@@ -31,11 +33,14 @@ import (
 
 const (
 	lineSize = 64
-	// modelRefresh is how often the Monte-Carlo occupancy model is
-	// recomputed (simulated ns).
+	// modelRefresh is how often the occupancy model is recomputed
+	// (simulated ns).
 	modelRefresh = 50 * sim.Millisecond
-	// mcSamples is the number of set compositions sampled per zone.
-	mcSamples = 2000
+	// The occupancy integrals run over t ∈ [quadLo/a_max, quadHi/a_min]
+	// (a = per-line rates) on a trapezoid grid of step quadStep in ln t.
+	quadStep = 0.25
+	quadLo   = 1e-7
+	quadHi   = 50
 )
 
 // zone is the cache model's view of one component page set.
@@ -58,17 +63,13 @@ type zone struct {
 	seenGen uint64
 }
 
-// zoneModel is one zone's invariant state for a refreshModel pass,
-// flattened out of the zone structs so the Monte-Carlo inner loop walks a
-// compact slice, touches no maps, and calls no transcendentals: the
-// per-line rate and dirty fraction are hoisted, and the Poisson mean
-// λ = lines/cacheSets is prepped once so each of the zones × mcSamples
-// draws reuses the cached exp(-λ) instead of recomputing it.
+// zoneModel is one zone's row in a refreshModel pass: its Poisson mean
+// λ = lines/cacheSets, per-line rate and dirty fraction, the quadrature
+// sums occupancy accumulates, and e = e^{−perLine·t} at the current node.
 type zoneModel struct {
-	z       *zone
-	perLine float64
-	dirty   float64
-	prep    sim.PoissonPrep
+	z                      *zone
+	lambda, perLine, dirty float64
+	hit, miss, wb, e       float64
 }
 
 // perLineRate is the access rate of one line of the zone.
@@ -88,17 +89,12 @@ func (z *zone) dirtyFrac() float64 {
 	// A line that receives any writes is dirty essentially always once
 	// cached; approximate by the write share of traffic, saturating
 	// quickly.
-	f := z.writeLineRate / t * 2
-	if f > 1 {
-		f = 1
-	}
-	return f
+	return math.Min(z.writeLineRate/t*2, 1)
 }
 
 // MemoryMode is the hardware tiering manager.
 type MemoryMode struct {
-	m   *machine.Machine
-	rng *sim.Rand
+	m *machine.Machine
 
 	// devDRAM and devNVM are the cache and backing device indices,
 	// resolved from the machine's tier table at Attach (memory mode is
@@ -108,15 +104,11 @@ type MemoryMode struct {
 	cacheSets float64
 	zones     map[*vm.PageSet]*zone
 	// order lists zones in first-observed order. The model must never
-	// iterate the zones map: map order would randomize the RNG draw
-	// sequence and float summation order in refreshModel, making MM
-	// results differ run to run.
+	// iterate the zones map: map order would randomize refreshModel's
+	// float summation order, making MM results differ run to run.
 	order []*zone
-	// scratch is the reusable flattened zone table refreshModel builds
-	// each pass (see zoneModel); rates is its per-sample scratch of each
-	// zone's competing line-rate mass, sized to match every pass.
+	// scratch is the reusable zone table refreshModel builds each pass.
 	scratch []zoneModel
-	rates   []float64
 	// gen counts ObserveTraffic passes; see zone.seenGen.
 	gen       uint64
 	lastModel int64
@@ -136,7 +128,6 @@ func (mm *MemoryMode) Name() string { return "MM" }
 // Attach implements machine.Manager.
 func (mm *MemoryMode) Attach(m *machine.Machine) {
 	mm.m = m
-	mm.rng = sim.NewRand(m.Cfg.Seed ^ 0x3153)
 	mm.cacheSets = float64(m.Cfg.DRAMSize / lineSize)
 	mm.lastModel = -1
 	var ok bool
@@ -166,10 +157,11 @@ func (mm *MemoryMode) ObserveTraffic(now int64, comps []machine.Component, occRa
 		c := &comps[i]
 		z, ok := mm.zones[c.Set]
 		if !ok {
-			z = &zone{set: c.Set, lines: float64(c.Set.Bytes() / lineSize)}
+			z = &zone{set: c.Set}
 			mm.zones[c.Set] = z
 			mm.order = append(mm.order, z)
 		}
+		z.lines = float64(c.Set.Bytes() / lineSize)
 		z.pattern = c.Pattern
 		rl := occRates[i] * linesOf(c.ReadBytes)
 		wl := occRates[i] * linesOf(c.WriteBytes)
@@ -196,84 +188,92 @@ func linesOf(bytes int64) float64 {
 	return float64(n)
 }
 
-// refreshModel recomputes per-zone hit rates and writeback expectations by
-// Monte Carlo over cache-set compositions. The active zones are flattened
-// into a reusable scratch table with their per-line rate, dirty fraction,
-// and prepped Poisson constants, so the sampling loops below perform only
-// multiplies, divides, and RNG draws. Targets are sampled in table order
-// on mm.rng, so seeded results are bit-reproducible.
+// refreshModel recomputes per-zone hit rates and writeback expectations
+// from the latest traffic pass, in first-observed zone order.
 func (mm *MemoryMode) refreshModel() {
-	zs := mm.scratch[:0]
+	zs, live := mm.scratch[:0], mm.order[:0]
 	for _, z := range mm.order {
 		if z.seenGen != mm.gen {
+			if z.set.Len() == 0 {
+				// Unmapped: the zone can never carry traffic again.
+				delete(mm.zones, z.set)
+				continue
+			}
 			// No component touched the zone this pass: its traffic has
 			// stopped, so it must not keep competing for cache sets.
 			z.readLineRate, z.writeLineRate = 0, 0
 		}
+		live = append(live, z)
 		if pl := z.perLineRate(); pl > 0 {
-			zs = append(zs, zoneModel{
-				z:       z,
-				perLine: pl,
-				dirty:   z.dirtyFrac(),
-				prep:    sim.NewPoissonPrep(z.lines / mm.cacheSets),
-			})
+			zs = append(zs, zoneModel{z: z, lambda: z.lines / mm.cacheSets, perLine: pl, dirty: z.dirtyFrac()})
 		}
 	}
-	mm.rowsBuilt += int64(len(mm.order))
-	mm.scratch = zs
-	if cap(mm.rates) < len(zs) {
-		mm.rates = make([]float64, len(zs))
-	}
-	mm.rates = mm.rates[:len(zs)]
-	for ti := range zs {
-		mm.mcTarget(ti)
+	clear(mm.order[len(live):])
+	mm.order, mm.scratch = live, zs
+	mm.rowsBuilt += int64(len(live))
+	occupancy(zs)
+	for i := range zs {
+		zs[i].z.hit, zs[i].z.wb, zs[i].z.valid = zs[i].hit, zs[i].wb, true
 	}
 }
 
-// mcTarget runs the Monte-Carlo sampling loop for one target zone of the
-// scratch table, drawing set compositions from mm.rng.
-func (mm *MemoryMode) mcTarget(ti int) {
-	zs, rateByZone, rng := mm.scratch, mm.rates, mm.rng
-	target := &zs[ti]
-	a := target.perLine
-	var hitSum, wbSum, missSum float64
-	for s := 0; s < mcSamples; s++ {
-		// Competing line-rate mass in this cache set.
-		var compete float64
+// occupancy solves the cache model for every zone of zs. A line of zone i
+// (rate a) hits iff it was its set's last access. With k_j ~ Poisson(λ_j)
+// lines per set from zone j and X = Σ_j k_j a_j, writing 1/(a+X) as
+// ∫₀^∞ e^{−(a+X)t} dt and size-biasing (E[k g(k)] = λ E[g(k+1)]) gives
+//
+//	hit = E[a/(a+X)] = a ∫ e^{−at} M(t) dt,  miss = ∫ e^{−at} M(t) C(t) dt
+//	wb  = E[Σ_j k_j a_j d_j/(a+X)] / miss    = ∫ e^{−at} M(t) D(t) dt / miss
+//
+// with M(t) = Π_j exp(λ_j(e^{−a_j t}−1)), C(t) = Σ_j λ_j a_j e^{−a_j t},
+// and D(t) that sum weighted by dirty fractions d_j (a miss evicts zone
+// j's line in proportion to its rate mass). Integrating miss rather than
+// taking 1−hit keeps a small miss precise and wb ≤ max d_j. All zones
+// share one trapezoid grid in u = ln t; below it the integrands fall off
+// like e^u, covered by the first node's extra unit weight.
+func occupancy(zs []zoneModel) {
+	if len(zs) == 0 {
+		return
+	}
+	aMin, aMax := math.Inf(1), 0.0
+	for i := range zs {
+		aMin, aMax = math.Min(aMin, zs[i].perLine), math.Max(aMax, zs[i].perLine)
+		zs[i].hit, zs[i].miss, zs[i].wb = 0, 0, 0
+	}
+	uLo := math.Log(quadLo / aMax)
+	n := int(math.Ceil((math.Log(quadHi/aMin) - uLo) / quadStep))
+	for k := 0; k <= n; k++ {
+		t := math.Exp(uLo + float64(k)*quadStep)
+		w := quadStep * t // dt = t du
+		if k == 0 {
+			w = (quadStep/2 + 1) * t
+		} else if k == n {
+			w /= 2
+		}
+		var logM, c, d float64
 		for j := range zs {
-			k := rng.PoissonCached(zs[j].prep)
-			r := float64(k) * zs[j].perLine
-			compete += r
-			rateByZone[j] = r
+			z := &zs[j]
+			z.e = math.Exp(-z.perLine * t)
+			logM += z.lambda * (z.e - 1)
+			r := z.lambda * z.perLine * z.e
+			c += r
+			d += r * z.dirty
 		}
-		// The target line hits iff it was the last access to
-		// its set: probability a/(a+compete). (Poissonization:
-		// the other lines of its own zone are already in
-		// compete.)
-		hit := a / (a + compete)
-		hitSum += hit
-		// On a miss the victim is the currently cached line,
-		// which belongs to zone j with probability ∝ its rate
-		// mass and writes back if dirty. Condition on the miss
-		// actually happening: sets with no competitors produce
-		// (almost) no misses and no victims.
-		if compete > 0 {
-			miss := 1 - hit
-			missSum += miss
-			var wb float64
-			for j := range zs {
-				wb += rateByZone[j] / compete * zs[j].dirty
-			}
-			wbSum += miss * wb
+		wm := w * math.Exp(logM)
+		for j := range zs {
+			f := wm * zs[j].e
+			zs[j].hit += f * zs[j].perLine
+			zs[j].miss += f * c
+			zs[j].wb += f * d
 		}
 	}
-	target.z.hit = hitSum / mcSamples
-	if missSum > 0 {
-		target.z.wb = wbSum / missSum
-	} else {
-		target.z.wb = 0
+	for i := range zs {
+		z := &zs[i]
+		z.hit = math.Min(z.hit, 1)
+		if z.miss > 0 { // else wb ≤ miss is 0 too
+			z.wb /= z.miss
+		}
 	}
-	target.z.valid = true
 }
 
 // ModelRowStats reports how many zone rows refreshModel has built across

@@ -24,8 +24,8 @@ func runGUPS(mgr machine.Manager, cfg gups.Config, dur int64) (float64, *machine
 	return g.Score(), m, g
 }
 
-// For a single uniform zone the Monte-Carlo occupancy estimator must match
-// the closed form (1−e^{−λ})/λ.
+// For a single uniform zone the occupancy model must match the closed
+// form (1−e^{−λ})/λ.
 func TestHitRateMatchesClosedForm(t *testing.T) {
 	for _, wsGB := range []int64{64, 128, 256} {
 		mm := memmode.New()
@@ -187,9 +187,9 @@ func TestWritebackCountsEveryZone(t *testing.T) {
 }
 
 // Identically seeded multi-zone runs must reproduce bit-identical scores
-// and hit rates. The occupancy model samples zones in first-observed
-// order; iterating the zones map instead would randomize the RNG draw
-// sequence and summation order, making MM results differ run to run.
+// and hit rates. The occupancy model sums over zones in first-observed
+// order; iterating the zones map instead would randomize the float
+// summation order, making MM results differ run to run.
 func TestMultiZoneDeterminism(t *testing.T) {
 	run := func() (float64, float64) {
 		mm := memmode.New()
@@ -203,6 +203,70 @@ func TestMultiZoneDeterminism(t *testing.T) {
 		if s1, h1 := run(); s1 != s0 || h1 != h0 {
 			t.Fatalf("rerun %d: score %v vs %v, hot hit rate %v vs %v — multi-zone MM model is order-dependent",
 				i, s1, s0, h1, h0)
+		}
+	}
+}
+
+// The model has no random state: two refreshes over identical traffic
+// give bit-identical hit rates and component costs.
+func TestRefreshOverSameTrafficIsBitIdentical(t *testing.T) {
+	mm := memmode.New()
+	m := machine.New(machine.DefaultConfig(), mm)
+	setA := m.AS.Map("a", 64*sim.GB).AsSet()
+	setB := m.AS.Map("b", 160*sim.GB).AsSet()
+	comps := []machine.Component{
+		{Set: setA, Share: 1, ReadBytes: 64},
+		{Set: setB, Share: 1, ReadBytes: 64, WriteBytes: 64},
+	}
+	rates := []float64{0.5, 0.25}
+	mm.ObserveTraffic(0, comps, rates)
+	hit, cost := mm.HitRate(setA), mm.ComponentCost(comps[0])
+	mm.ObserveTraffic(50*sim.Millisecond, comps, rates)
+	if h := mm.HitRate(setA); h != hit {
+		t.Fatalf("hit rate moved between refreshes over identical traffic: %v then %v", hit, h)
+	}
+	if c := mm.ComponentCost(comps[0]); c != cost {
+		t.Fatalf("component cost moved between refreshes over identical traffic:\n%+v\n%+v", cost, c)
+	}
+}
+
+// A zone's size follows its page set: when a 64 GB set grows by a second
+// 192 GB region, the next refresh prices it as a 256 GB zone.
+func TestZoneSizeFollowsSet(t *testing.T) {
+	mm := memmode.New()
+	m := machine.New(machine.DefaultConfig(), mm)
+	set := m.AS.Map("a", 64*sim.GB).AsSet()
+	comps := []machine.Component{{Set: set, Share: 1, ReadBytes: 64}}
+	mm.ObserveTraffic(0, comps, []float64{0.25})
+	for _, p := range m.AS.Map("b", 192*sim.GB).AllPages() {
+		set.Add(p)
+	}
+	mm.ObserveTraffic(50*sim.Millisecond, comps, []float64{0.25})
+	lambda := 256.0 / 192
+	if want, got := (1-math.Exp(-lambda))/lambda, mm.HitRate(set); math.Abs(got-want) > 1e-3 {
+		t.Fatalf("hit rate after the set grew to 256 GB = %.4f, want closed form %.4f", got, want)
+	}
+}
+
+// A zone whose set was unmapped is dropped: refreshes after the unmap
+// build one row per pass instead of two.
+func TestUnmappedZoneIsDropped(t *testing.T) {
+	mm := memmode.New()
+	m := machine.New(machine.DefaultConfig(), mm)
+	setA := m.AS.Map("a", 64*sim.MB).AsSet()
+	regB := m.AS.Map("b", 64*sim.MB)
+	setB := regB.AsSet()
+	compA := machine.Component{Set: setA, Share: 1, ReadBytes: 64}
+	compB := machine.Component{Set: setB, Share: 1, ReadBytes: 64}
+	mm.ObserveTraffic(0, []machine.Component{compA, compB}, []float64{0.25, 0.25})
+	if b, _ := mm.ModelRowStats(); b != 2 {
+		t.Fatalf("rows built with A and B observed = %d, want 2", b)
+	}
+	m.Unmap(regB)
+	for i := int64(1); i <= 2; i++ {
+		mm.ObserveTraffic(i*50*sim.Millisecond, []machine.Component{compA}, []float64{0.25})
+		if b, _ := mm.ModelRowStats(); b != 2+i {
+			t.Fatalf("refresh %d after unmapping B: %d rows built in total, want %d (one per pass)", i, b, 2+i)
 		}
 	}
 }

@@ -77,20 +77,13 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Poisson draws from a Poisson distribution with mean lambda, using
-// Knuth's method for small lambda and a normal approximation for large.
-func (r *Rand) Poisson(lambda float64) int {
-	return r.PoissonCached(NewPoissonPrep(lambda))
-}
-
 // PoissonPrep caches the λ-dependent constants of a Poisson draw —
 // exp(-λ) for the Knuth path, sqrt(λ) for the normal approximation — so
-// hot loops that sample the same mean repeatedly (the Memory-Mode
-// Monte-Carlo occupancy model draws zones² × samples times per refresh)
-// don't pay a transcendental per draw. NewPoissonPrep(λ) followed by
-// Rand.PoissonCached is bit-compatible with Rand.Poisson(λ): the cached
-// constants are the exact float64s Poisson computed inline, and the RNG
-// draw sequence is unchanged, so seeded results are identical.
+// callers that sample the same mean repeatedly (chaos correctable-error
+// storms draw one arrival count per quantum while a storm lasts) don't
+// pay a transcendental per draw. The cached constants are the exact
+// float64s an inline draw would compute, so PoissonCached matches it bit
+// for bit.
 type PoissonPrep struct {
 	// Lambda is the distribution mean.
 	Lambda float64
@@ -116,8 +109,8 @@ func NewPoissonPrep(lambda float64) PoissonPrep {
 }
 
 // PoissonCached draws from a Poisson distribution whose constants were
-// precomputed by NewPoissonPrep. The draw sequence and arithmetic match
-// Poisson(prep.Lambda) bit for bit.
+// precomputed by NewPoissonPrep, using Knuth's method for small means and
+// a normal approximation above 30.
 func (r *Rand) PoissonCached(prep PoissonPrep) int {
 	lambda := prep.Lambda
 	if lambda <= 0 {

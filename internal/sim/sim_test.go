@@ -321,20 +321,17 @@ func TestPoissonCachedBitIdentical(t *testing.T) {
 	lambdas := []float64{-3, 0, 1e-6, 0.25, 1, 3.75, 29.5, 30, 30.5, 500}
 	for _, lambda := range lambdas {
 		prep := NewPoissonPrep(lambda)
-		ra, rb, rc := NewRand(42), NewRand(42), NewRand(42)
+		ra, rb := NewRand(42), NewRand(42)
 		for i := 0; i < 5000; i++ {
 			want := poissonInline(ra, lambda)
 			if got := rb.PoissonCached(prep); got != want {
 				t.Fatalf("λ=%v draw %d: PoissonCached = %d, want %d", lambda, i, got, want)
 			}
-			if got := rc.Poisson(lambda); got != want {
-				t.Fatalf("λ=%v draw %d: Poisson = %d, want %d", lambda, i, got, want)
-			}
 		}
 		// Identical results could still hide divergent RNG consumption;
 		// the streams must be in lock-step afterwards.
-		if a, b, c := ra.Uint64(), rb.Uint64(), rc.Uint64(); a != b || a != c {
-			t.Fatalf("λ=%v: RNG states diverged after draws (%x, %x, %x)", lambda, a, b, c)
+		if a, b := ra.Uint64(), rb.Uint64(); a != b {
+			t.Fatalf("λ=%v: RNG states diverged after draws (%x, %x)", lambda, a, b)
 		}
 	}
 }
