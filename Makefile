@@ -2,7 +2,6 @@
 # build, and the test suite under the race detector.
 
 GO ?= go
-BENCH_OUT ?= BENCH_pr10.json
 
 .PHONY: check vet build test race bench soak prof
 
@@ -20,18 +19,20 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Simulator performance harness: GUPS/KVS/GAP scenarios plus the sweep
-# engine (full suite serial vs parallel, outputs byte-compared),
-# reporting wall clock, simulated-ns per second, allocations, and
-# seeded-determinism checks as JSON.
+# The repository benchmark (perfbench, declared in BENCHMARK.json): each
+# workload runs seeded episodes for 35 s and prints its end-to-end
+# metrics as one JSON line (see perfbench/README.md; --trace 1 adds the
+# per-layer metrics).
 bench:
-	$(GO) run ./cmd/hemem-bench -perf -out $(BENCH_OUT)
+	for w in gups-hemem gups-mm fleet; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 35 --trace 0 || exit 1; \
+	done
 
-# Profile the perf harness: CPU + allocation pprof profiles alongside
-# the JSON report (the recipe behind the top-of-profile tables in
-# EXPERIMENTS.md). Inspect with `go tool pprof cpu.pprof`.
+# Profile the whole experiment suite serially: CPU + allocation pprof
+# profiles (see "Profiling the simulator" in EXPERIMENTS.md). Inspect
+# with `go tool pprof cpu.pprof`.
 prof:
-	$(GO) run ./cmd/hemem-bench -perf -cpuprofile cpu.pprof -memprofile mem.pprof -out $(BENCH_OUT)
+	$(GO) run ./cmd/hemem-bench -exp all -jobs 1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 
 # Bounded chaos soak: the seeded chaos scheduler drives compound fault
 # episodes, correctable-error storms, and CXL offline/online cycles

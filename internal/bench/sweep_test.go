@@ -108,12 +108,14 @@ func runExp(t *testing.T, id string, jobs int) string {
 // Serial (-jobs 1) and parallel (-jobs 8) runs of the sweep-heavy
 // experiments must produce byte-identical output: cells share no state
 // and derive all randomness from declaration-time identity, so execution
-// order cannot leak into results.
+// order cannot leak into results. The list spans the GUPS sweeps, FlexKVS
+// (tab4) and GAP BC (fig14), so each workload family's seeded runs are
+// also pinned to reproduce themselves.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated sweeps")
 	}
-	for _, id := range []string{"fig5", "fig10"} {
+	for _, id := range []string{"fig5", "fig10", "tab4", "fig14"} {
 		t.Run(id, func(t *testing.T) {
 			serial := runExp(t, id, 1)
 			parallel := runExp(t, id, 8)
@@ -134,24 +136,6 @@ func TestParallelOutputByteIdenticalMicro(t *testing.T) {
 		if serial, parallel := runExp(t, id, 1), runExp(t, id, 8); serial != parallel {
 			t.Fatalf("%s output differs between -jobs 1 and -jobs 8", id)
 		}
-	}
-}
-
-// The perf cases stay seeded-deterministic: each run's digest reproduces
-// bit for bit (RunPerf's own doubled runs assert the same; this pins it
-// at the test level alongside the parallel-output guarantee).
-func TestPerfCasesDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated runs")
-	}
-	for _, c := range perfCases {
-		t.Run(c.id, func(t *testing.T) {
-			d0 := c.run(17).digest
-			d1 := c.run(17).digest
-			if d0 != d1 {
-				t.Fatalf("%s: digests differ across identically seeded runs: %016x vs %016x", c.id, d0, d1)
-			}
-		})
 	}
 }
 

@@ -33,7 +33,7 @@ func init() {
 // O(mapped pages), and the idle spans take one step per policy tick
 // instead of one per millisecond. Wall-clock numbers are deliberately
 // absent from the table (the output is byte-compared across sweep worker
-// counts); `make bench` records them in BENCH_pr8.json.
+// counts); hemem-bench's trailing "(N.Ns)" line gives the run's wall time.
 func tbscaleConfig(o Opts) (diurnal.Config, int64) {
 	if o.Full {
 		cfg := diurnal.Config{

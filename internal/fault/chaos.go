@@ -41,15 +41,21 @@ type ChaosConfig struct {
 	// CEStormMTBF starts correctable-error storms lasting CEStormDuration
 	// (default 100 ms) during which correctable media errors strike
 	// random resident pages with mean inter-arrival CEInterval (default
-	// 1 ms). A page accumulating CERetireThreshold correctable errors
-	// (default 4) is predictively retired: its frame is discarded and the
-	// page remaps, exactly like an uncorrectable strike but before data
-	// loss.
+	// 1 ms, at least 1 µs). A page accumulating CERetireThreshold
+	// correctable errors (default 4) is predictively retired: its frame
+	// is discarded and the page remaps, exactly like an uncorrectable
+	// strike but before data loss.
 	CEStormMTBF       int64
 	CEStormDuration   int64
 	CEInterval        int64
 	CERetireThreshold int
 }
+
+// minCEInterval bounds ChaosConfig.CEInterval from below. Each strike
+// costs a victim pick, so a nanosecond interval (a million strikes per
+// 1 ms quantum) stalls a run for no modelling gain: a million
+// correctable errors a second is far past any real ECC storm.
+const minCEInterval = sim.Microsecond
 
 // Enabled reports whether any chaos fault class is configured.
 func (c ChaosConfig) Enabled() bool {
@@ -73,6 +79,9 @@ func (c ChaosConfig) validate() error {
 		if m.v < 0 {
 			return fmt.Errorf("fault: negative %s %d", m.name, m.v)
 		}
+	}
+	if c.CEInterval > 0 && c.CEInterval < minCEInterval {
+		return fmt.Errorf("fault: CEInterval %d ns below the %d ns minimum", c.CEInterval, int64(minCEInterval))
 	}
 	if c.CERetireThreshold < 0 {
 		return fmt.Errorf("fault: negative CERetireThreshold %d", c.CERetireThreshold)

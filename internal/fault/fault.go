@@ -246,6 +246,7 @@ type Injector struct {
 	offlineUntil  [vm.MaxTiers]int64
 	tierScratch   []vm.Tier
 	cePrep        sim.PoissonPrep
+	ceDT          int64 // the quantum cePrep was built for
 
 	dmaDerate  float64
 	nvmDerate  float64
@@ -267,11 +268,13 @@ func New(cfg Config, rng *sim.Rand) *Injector {
 	}
 }
 
-// prepCE lazily precomputes the Poisson constants for CE arrivals at the
-// machine's quantum dt (the quantum is fixed per machine, so one prep
-// serves the whole run).
+// prepCE returns the Poisson constants for CE arrivals over a step of
+// dt, rebuilding them only when dt differs from the step they were built
+// for: a fixed-quantum run builds them once, while a shortened last step
+// of Machine.Run or an explicit Machine.Step gets its own mean.
 func (in *Injector) prepCE(dt int64) sim.PoissonPrep {
-	if in.cePrep.Lambda == 0 && in.cfg.Chaos.CEInterval > 0 {
+	if dt != in.ceDT {
+		in.ceDT = dt
 		in.cePrep = sim.NewPoissonPrep(float64(dt) / float64(in.cfg.Chaos.CEInterval))
 	}
 	return in.cePrep

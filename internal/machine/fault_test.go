@@ -218,3 +218,49 @@ func TestMachineConfigValidate(t *testing.T) {
 		t.Error("invalid fault config validated")
 	}
 }
+
+// ceStormCount runs the default machine under a correctable-error storm
+// that is on from the first quantum and never ends (one strike per
+// CEInterval on average), advancing first and then one simulated
+// second, and returns the CEs struck.
+func ceStormCount(first, ceInterval int64) int64 {
+	cfg := machine.DefaultConfig()
+	cfg.Faults = fault.Config{Chaos: fault.ChaosConfig{
+		CEStormMTBF:       1,
+		CEStormDuration:   1000 * sim.Second,
+		CEInterval:        ceInterval,
+		CERetireThreshold: 1 << 30,
+	}}
+	m := machine.New(cfg, &stubMgr{})
+	m.AS.Map("data", sim.GB)
+	m.Warm()
+	m.Run(first)
+	m.Run(sim.Second)
+	return m.FaultCounters().CorrectableErrors
+}
+
+// The CE arrival mean is dt/CEInterval for every step, not only for the
+// first one: a short step (Machine.Run's shortened last step, or an
+// explicit Machine.Step) must not fix the mean for the rest of the run.
+// Whichever step comes first, ~1 s at one CE per 10 µs strikes ~100,000.
+func TestCEArrivalsFollowStepLength(t *testing.T) {
+	const interval = 10 * sim.Microsecond
+	long := ceStormCount(sim.Millisecond, interval)
+	short := ceStormCount(100*sim.Microsecond, interval)
+	for _, c := range []struct {
+		name  string
+		got   int64
+		total int64
+	}{
+		{"1 ms first", long, sim.Millisecond + sim.Second},
+		{"0.1 ms first", short, 100*sim.Microsecond + sim.Second},
+	} {
+		want := float64(c.total) / float64(interval)
+		if d := float64(c.got)/want - 1; d < -0.02 || d > 0.02 {
+			t.Errorf("%s: %d CEs, want %.0f ± 2%%", c.name, c.got, want)
+		}
+	}
+	if d := float64(short)/float64(long) - 1; d < -0.1 || d > 0.1 {
+		t.Errorf("0.1 ms-first run struck %d CEs, 1 ms-first %d: not within 10%%", short, long)
+	}
+}
