@@ -49,10 +49,6 @@ type Opts struct {
 	// Quantum overrides the machine step quantum in sim-ns; 0 keeps the
 	// machine default (1 ms).
 	Quantum int64
-	// Adaptive runs machines on the event-driven adaptive-quantum loop.
-	// The CLI rejects it for experiments whose goldens pin the fixed
-	// step schedule.
-	Adaptive bool
 	// Tenants overrides the fleet experiment's tenants per machine; 0
 	// keeps the scale default. Other experiments ignore it.
 	Tenants int
@@ -61,15 +57,14 @@ type Opts struct {
 	QoS string
 }
 
-// machineConfig is the default machine config with the run's quantum and
-// adaptive-loop overrides applied. With zero-valued overrides it is
-// machine.DefaultConfig() exactly, so default-mode output is untouched.
+// machineConfig is the default machine config with the run's quantum
+// override applied. With a zero override it is machine.DefaultConfig()
+// exactly, so default-mode output is untouched.
 func (o Opts) machineConfig() machine.Config {
 	mc := machine.DefaultConfig()
 	if o.Quantum > 0 {
 		mc.Quantum = o.Quantum
 	}
-	mc.AdaptiveQuantum = o.Adaptive
 	return mc
 }
 

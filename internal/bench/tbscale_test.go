@@ -6,18 +6,18 @@ import (
 )
 
 // TestTBScaleSmoke runs the quick (64 GB) tbscale variant end to end —
-// both the dense fixed-step baseline and the sparse adaptive run — and
+// both the dense fixed-Step reference and the sparse event-driven Run — and
 // checks the properties the experiment's table asserts: identical
 // simulated outcomes, and metadata resident bytes that scale with the
 // touched pages rather than the mapping. CI runs it under -race (the
 // parallel sweep engine executes both cells concurrently).
 func TestTBScaleSmoke(t *testing.T) {
 	o := Opts{}
-	dense := tbscaleRun(o, false, true)
-	sparse := tbscaleRun(o, true, false)
+	dense := tbscaleRun(o, true)
+	sparse := tbscaleRun(o, false)
 
 	if dense.digest != sparse.digest {
-		t.Fatalf("adaptive sparse run diverged from dense fixed baseline: %016x vs %016x",
+		t.Fatalf("sparse event-driven run diverged from dense fixed-Step reference: %016x vs %016x",
 			dense.digest, sparse.digest)
 	}
 	if dense.ops <= 0 || dense.faults <= 0 {

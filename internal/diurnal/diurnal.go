@@ -1,7 +1,7 @@
 // Package diurnal is a phase-scheduled workload for TB-scale machines:
 // traffic alternates between idle spans and bursts over page windows of a
 // huge mapping, on a repeating daily schedule. It is the companion of the
-// machine's adaptive quantum — during the idle phases the contention
+// machine's event-driven stepping — during the idle phases the contention
 // solver's inputs are constant, so an event-driven run skips from policy
 // tick to policy tick instead of grinding fixed quanta — and of vm's
 // sparse metadata: only the windows a burst touches ever materialize
@@ -10,8 +10,8 @@
 //
 // The workload faults windows in through Machine.TouchRange on first
 // entry to a phase (the burst's working set pages in on demand, not via
-// a whole-region warm), and implements machine.PhaseHinter so the
-// adaptive horizon never crosses a phase boundary.
+// a whole-region warm), and implements machine.PhaseHinter so a
+// stretched step never crosses a phase boundary.
 package diurnal
 
 import (
@@ -26,8 +26,8 @@ import (
 // idle phase: threads run but move no bytes.
 type Phase struct {
 	// Duration of the phase in sim-ns. Keep it a multiple of the machine
-	// quantum so fixed and adaptive runs cross boundaries on the same
-	// step starts.
+	// quantum so fixed-Step and event-driven runs cross boundaries on
+	// the same step starts.
 	Duration int64
 	// WindowLo and WindowHi bound the page window touched by the phase,
 	// as fractions of the region [0, 1). Lo == Hi means idle.
@@ -166,8 +166,8 @@ func (d *Workload) Threads() int { return d.cfg.Threads }
 // Components implements machine.Workload: it rolls the schedule to the
 // current instant first, so phase transitions take effect on the step
 // that starts at the boundary. It is a pure accessor within a step
-// (rollTo is idempotent at a fixed clock), as the adaptive pre-pass
-// requires.
+// (rollTo is idempotent at a fixed clock), as the event-driven
+// stepper's traffic pre-pass requires.
 func (d *Workload) Components() []machine.Component {
 	d.rollTo(d.m.Clock.Now())
 	return d.comps

@@ -222,7 +222,7 @@ func (in *Injector) advanceChaos(now, dt int64, ev *Events) {
 	// together. Constituents not already running are announced so the
 	// machine's per-class counters see them.
 	if now >= in.compoundUntil && fire(c.CompoundMTBF) {
-		in.compoundUntil = now + c.CompoundDuration
+		in.compoundUntil = endAfter(now, c.CompoundDuration)
 		until := in.compoundUntil
 		ev.CompoundStart = true
 		ev.addEpisode(EpisodeStart{Kind: EpCompound, Tier: vm.TierNone, Until: until})
@@ -268,7 +268,7 @@ func (in *Injector) advanceChaos(now, dt int64, ev *Events) {
 			}
 			if n := len(in.tierScratch); n > 0 {
 				t := in.tierScratch[in.rng.Intn(n)]
-				in.offlineUntil[t] = now + c.TierOfflineDuration
+				in.offlineUntil[t] = endAfter(now, c.TierOfflineDuration)
 				ev.TierOffline = t
 				ev.addEpisode(EpisodeStart{Kind: EpTierOffline, Tier: t, Until: in.offlineUntil[t]})
 			}
@@ -278,7 +278,7 @@ func (in *Injector) advanceChaos(now, dt int64, ev *Events) {
 	// Correctable-error storm onset, then the strikes themselves: a
 	// Poisson arrival count with mean dt/CEInterval while in a storm.
 	if now >= in.ceUntil && fire(c.CEStormMTBF) {
-		in.ceUntil = now + c.CEStormDuration
+		in.ceUntil = endAfter(now, c.CEStormDuration)
 		ev.CEStormStart = true
 		ev.addEpisode(EpisodeStart{Kind: EpCEStorm, Tier: vm.TierNone, Until: in.ceUntil})
 	}

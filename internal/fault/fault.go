@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
@@ -289,6 +290,17 @@ func (in *Injector) Enabled() bool { return in.on }
 // Config returns the (default-filled) configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
+// endAfter is the end of an episode of length d starting at now,
+// saturating at math.MaxInt64: Validate accepts any non-negative
+// duration, and a "forever" episode must not wrap into the past and end
+// at once.
+func endAfter(now, d int64) int64 {
+	if d > math.MaxInt64-now {
+		return math.MaxInt64
+	}
+	return now + d
+}
+
 // Advance progresses episodic fault state through one quantum
 // [now, now+dt) and returns the events the machine must apply. Event
 // counts per quantum follow a Bernoulli(dt/MTBF) approximation, which is
@@ -309,17 +321,17 @@ func (in *Injector) Advance(now, dt int64) Events {
 		ev.NVMUncorrectable = 1
 	}
 	if now >= in.dmaDegradedUntil && fire(in.cfg.DMADegradedMTBF) {
-		in.dmaDegradedUntil = now + in.cfg.DMADegradedDuration
+		in.dmaDegradedUntil = endAfter(now, in.cfg.DMADegradedDuration)
 		ev.DMADegradedStart = true
 		ev.addEpisode(EpisodeStart{Kind: EpDMADegraded, Tier: vm.TierNone, Until: in.dmaDegradedUntil})
 	}
 	if now >= in.thermalUntil && fire(in.cfg.NVMThermalMTBF) {
-		in.thermalUntil = now + in.cfg.NVMThermalDuration
+		in.thermalUntil = endAfter(now, in.cfg.NVMThermalDuration)
 		ev.NVMThermalStart = true
 		ev.addEpisode(EpisodeStart{Kind: EpNVMThermal, Tier: vm.TierNone, Until: in.thermalUntil})
 	}
 	if now >= in.stormUntil && fire(in.cfg.PEBSStormMTBF) {
-		in.stormUntil = now + in.cfg.PEBSStormDuration
+		in.stormUntil = endAfter(now, in.cfg.PEBSStormDuration)
 		ev.PEBSStormStart = true
 		ev.addEpisode(EpisodeStart{Kind: EpPEBSStorm, Tier: vm.TierNone, Until: in.stormUntil})
 	}

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/fault"
@@ -262,5 +263,53 @@ func TestCEArrivalsFollowStepLength(t *testing.T) {
 	}
 	if d := float64(short)/float64(long) - 1; d < -0.1 || d > 0.1 {
 		t.Errorf("0.1 ms-first run struck %d CEs, 1 ms-first %d: not within 10%%", short, long)
+	}
+}
+
+// An episode of duration math.MaxInt64 never ends. Its end is computed
+// as start+duration, which must saturate rather than wrap negative: a
+// wrapped end lies in the past, so the "forever" episode ends at once
+// and restarts on the next draw (24 compound episodes in 100 ms at a
+// 5 ms MTBF, instead of one).
+func TestForeverEpisodesNeverEnd(t *testing.T) {
+	const forever = math.MaxInt64
+	run := func(fc fault.Config) *machine.Machine {
+		cfg := machine.DefaultConfig()
+		cfg.Faults = fc
+		m := machine.New(cfg, &stubMgr{})
+		m.Run(100 * sim.Millisecond)
+		return m
+	}
+
+	m := run(fault.Config{Chaos: fault.ChaosConfig{
+		CompoundMTBF: 5 * sim.Millisecond, CompoundDuration: forever,
+		TierOfflineMTBF: 5 * sim.Millisecond, TierOfflineDuration: forever,
+		OfflineTiers: fault.OfflineSet(vm.TierNVM),
+	}})
+	var compound, offline int
+	for _, ep := range m.Episodes() {
+		switch ep.Kind {
+		case fault.EpCompound:
+			compound++
+		case fault.EpTierOffline:
+			offline++
+		}
+		if ep.End != forever {
+			t.Errorf("episode %v ends at %d, want never (%d)", ep, ep.End, int64(forever))
+		}
+	}
+	if compound != 1 || offline != 1 {
+		t.Errorf("logged %d compound and %d tier-offline episodes, want 1 and 1", compound, offline)
+	}
+	if !m.TierIsOffline(vm.TierNVM) {
+		t.Error("NVM came back online during a forever offline episode")
+	}
+
+	m = run(fault.Config{NVMThermalMTBF: 5 * sim.Millisecond, NVMThermalDuration: forever})
+	if n := m.FaultCounters().NVMThermalEpisodes; n != 1 {
+		t.Errorf("%d thermal episodes, want 1", n)
+	}
+	if d := m.Injector.NVMDerate(); d == 1 {
+		t.Error("NVM no longer derated at the end of a forever thermal episode")
 	}
 }

@@ -54,9 +54,11 @@ func (m *Machine) applyFaults(now, dt int64) {
 	}
 	// Episode log. Tier-offline episodes are logged by offlineTier, which
 	// also tracks their evacuation; everything else is recorded here.
+	var offlineUntil int64
 	for i := 0; i < ev.NumEpisodes; i++ {
 		ep := ev.Episodes[i]
 		if ep.Kind == fault.EpTierOffline {
+			offlineUntil = ep.Until
 			continue
 		}
 		m.episodes = append(m.episodes, fault.Episode{
@@ -71,7 +73,7 @@ func (m *Machine) applyFaults(now, dt int64) {
 		}
 	}
 	if ev.TierOffline != vm.TierNone {
-		m.offlineTier(ev.TierOffline, now+inj.Config().Chaos.TierOfflineDuration)
+		m.offlineTier(ev.TierOffline, offlineUntil)
 	}
 	for i := 0; i < ev.DMAChannelFails; i++ {
 		live, fellBack := m.Migrator.FailDMAChannel()

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
@@ -66,14 +67,16 @@ func runFuzzConfig(t *testing.T, cfg machine.Config) {
 func FuzzConfig(f *testing.F) {
 	add := func(c machine.Config) {
 		n, ids, caps, flags := fuzzTiers(c.Tiers)
-		f.Add(c.Cores, c.DRAMSize, c.NVMSize, c.DiskSize, c.PageSize, c.Quantum, c.AdaptiveQuantum,
+		f.Add(c.Cores, c.DRAMSize, c.NVMSize, c.DiskSize, c.PageSize, c.Quantum,
 			n, ids, caps[0], caps[1], caps[2], caps[3], flags)
 	}
 	add(machine.DefaultConfig())
 	add(machine.Config{})
-	adaptive := machine.DefaultConfig()
-	adaptive.AdaptiveQuantum = true
-	add(adaptive)
+	// A base quantum coarser than, and no multiple of, HeMem's 10 ms
+	// policy period, so policy ticks fall inside steps.
+	coarse := machine.DefaultConfig()
+	coarse.Quantum = 25 * sim.Millisecond
+	add(coarse)
 	// The fleet experiment's two-tier table.
 	fleet := machine.DefaultConfig()
 	fleet.Tiers = []machine.TierDesc{
@@ -105,11 +108,11 @@ func FuzzConfig(f *testing.F) {
 	}
 	add(chain)
 
-	f.Fuzz(func(t *testing.T, cores int, dram, nvm, disk, page, quantum int64, adaptive bool,
+	f.Fuzz(func(t *testing.T, cores int, dram, nvm, disk, page, quantum int64,
 		n uint8, ids uint32, c0, c1, c2, c3 int64, flags uint8) {
 		cfg := machine.Config{
 			Cores: cores, DRAMSize: dram, NVMSize: nvm, DiskSize: disk,
-			PageSize: page, Quantum: quantum, AdaptiveQuantum: adaptive, Seed: 1,
+			PageSize: page, Quantum: quantum, Seed: 1,
 		}
 		caps := [4]int64{c0, c1, c2, c3}
 		for i := 0; i < int(n%5); i++ {
@@ -259,4 +262,62 @@ func TestValidateRejectsNanosecondCEInterval(t *testing.T) {
 	}
 	cfg.Faults.Chaos.CEInterval = sim.Microsecond
 	runFuzzConfig(t, cfg)
+}
+
+// FuzzTenantSpec drives machine.TenantSpec through admission on the
+// fleet experiment's two-tier table with the auditor on: it admits one
+// to four decoded specs (a raw class byte each, and DRAM and NVM
+// Reserve/Cap values), each running a 320 MB tenant, runs 50 quanta,
+// departs one of them, and runs 50 more. Every outcome must finish
+// without a panic, with the outcomes accounted (admitted + queued +
+// rejected = arrivals) and Audit clean. Run it with
+//
+//	go test -run='^$' -fuzz=FuzzTenantSpec -fuzztime=20s ./internal/machine/
+func FuzzTenantSpec(f *testing.F) {
+	add := func(depart uint8, specs ...machine.TenantSpec) {
+		var classes uint32
+		var q [16]int64
+		for i, s := range specs {
+			classes |= uint32(uint8(s.Class)) << (8 * i)
+			q[4*i] = s.Reserve[vm.TierDRAM]
+			q[4*i+1] = s.Reserve[vm.TierNVM]
+			q[4*i+2] = s.Cap[vm.TierDRAM]
+			q[4*i+3] = s.Cap[vm.TierNVM]
+		}
+		f.Add(uint8(len(specs)), classes, depart, q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7],
+			q[8], q[9], q[10], q[11], q[12], q[13], q[14], q[15])
+	}
+	// The fleet's shapes: gold and silver reserve DRAM, besteffort is
+	// capped in it.
+	gold := churnSpec("gold", machine.Gold, 128*sim.MB, 0)
+	silver := churnSpec("silver", machine.Silver, 64*sim.MB, 0)
+	besteffort := churnSpec("besteffort", machine.BestEffort, 0, 48*sim.MB)
+	add(0, gold, silver, besteffort)
+	add(2, besteffort, besteffort, gold, silver)
+	add(0, gold)
+	// Reservations that queue the later arrivals until the departure.
+	big := churnSpec("big", machine.Gold, 768*sim.MB, 0)
+	add(0, big, big, silver)
+
+	f.Fuzz(func(t *testing.T, n uint8, classes uint32, depart uint8,
+		r0d, r0n, c0d, c0n, r1d, r1n, c1d, c1n, r2d, r2n, c2d, c2n, r3d, r3n, c3d, c3n int64) {
+		q := [16]int64{r0d, r0n, c0d, c0n, r1d, r1n, c1d, c1n, r2d, r2n, c2d, c2n, r3d, r3n, c3d, c3n}
+		m, tr := tenantMachine(1)
+		arrivals := 1 + int(n%4)
+		for i := 0; i < arrivals; i++ {
+			spec := machine.TenantSpec{Name: fmt.Sprintf("s%d", i), Class: machine.QoSClass(int8(classes >> (8 * i)))}
+			spec.Reserve[vm.TierDRAM], spec.Reserve[vm.TierNVM] = q[4*i], q[4*i+1]
+			spec.Cap[vm.TierDRAM], spec.Cap[vm.TierNVM] = q[4*i+2], q[4*i+3]
+			tr.Admit(spec, func(id vm.TenantID) machine.TenantApp { return startChurnApp(m, id, 320*sim.MB) })
+		}
+		if st := tr.Stats(); st.Admitted+st.Queued+st.Rejected != int64(arrivals) {
+			t.Fatalf("%d arrivals accounted as %+v", arrivals, st)
+		}
+		m.Run(50 * m.Cfg.Quantum)
+		tr.Depart(vm.TenantID(1 + int(depart)%arrivals))
+		m.Run(50 * m.Cfg.Quantum)
+		if vs := m.Audit(); len(vs) > 0 {
+			t.Fatalf("%d audit violations, first: %v", len(vs), vs[0])
+		}
+	})
 }

@@ -179,7 +179,7 @@ type workloadMeta struct {
 	w        Workload
 	series   *sim.Series
 	totalOps float64
-	// hinter caches the PhaseHinter type assertion so the adaptive
+	// hinter caches the PhaseHinter type assertion so the event
 	// horizon scan does not re-assert per step; nil when w gives no
 	// phase hints.
 	hinter PhaseHinter
@@ -275,16 +275,6 @@ type Config struct {
 	// violation. A pure observer — it draws no randomness and changes no
 	// behavior, so audited runs are bit-identical to unaudited ones.
 	Audit bool
-	// AdaptiveQuantum switches Run/RunUntilDone to event-driven stepping:
-	// while the machine is quiescent (no traffic occurrences possible, no
-	// queued migrations, no stall residue, no fault injection, no offline
-	// tier), a step stretches from the fixed quantum to the next
-	// interesting instant — the earliest due event (policy ticks, chaos
-	// episodes), throughput-sample or telemetry instant, or hinted
-	// traffic-phase boundary — accumulating ops analytically over the
-	// span. Off by default: the fixed cadence is pinned by the golden
-	// outputs. Direct Step calls are unaffected.
-	AdaptiveQuantum bool
 	// Tiers optionally declares the memory hierarchy explicitly, fastest
 	// first (e.g. DRAM, CXL, NVM, disk). Nil means the classic
 	// DRAM/NVM/disk testbed built from the size fields above. When set,
@@ -359,7 +349,6 @@ func (c Config) withDefaults() Config {
 		def.Faults = c.Faults
 		def.Tiers = c.Tiers
 		def.Audit = c.Audit
-		def.AdaptiveQuantum = c.AdaptiveQuantum
 		if c.Quantum != 0 {
 			def.Quantum = c.Quantum
 		}
@@ -530,6 +519,11 @@ type Machine struct {
 	// stall accumulates per-thread stall time (TLB shootdowns) charged
 	// by managers during the current quantum.
 	stall int64
+	// moved records that the last step's traffic moved bytes. advance
+	// then takes the base quantum without scanning components: a busy
+	// machine pays one load per step for the choice, and the one extra
+	// base step after traffic stops is exact like every base step.
+	moved bool
 
 	// Per-quantum solver scratch, reused across Step calls so the hot
 	// loop does not allocate per quantum.
@@ -825,19 +819,14 @@ func (m *Machine) TotalOps(name string) float64 {
 	return 0
 }
 
-// Run advances the machine by duration.
+// Run advances the machine by duration. Steps are event-driven (see
+// advance): the base quantum whenever anything is in flight, stretched
+// over quiescent spans to the next instant that could change the
+// arithmetic, so the outcome equals stepping by Cfg.Quantum throughout.
 func (m *Machine) Run(duration int64) {
 	end := m.Clock.Now() + duration
 	for m.Clock.Now() < end {
-		if m.Cfg.AdaptiveQuantum {
-			m.stepAdaptive(end)
-			continue
-		}
-		dt := m.Cfg.Quantum
-		if left := end - m.Clock.Now(); left < dt {
-			dt = left
-		}
-		m.Step(dt)
+		m.advance(end)
 	}
 }
 
@@ -856,29 +845,25 @@ func (m *Machine) RunUntilDone(maxDuration int64) {
 		if done {
 			return
 		}
-		if m.Cfg.AdaptiveQuantum {
-			m.stepAdaptive(end)
-			continue
-		}
-		m.Step(m.Cfg.Quantum)
+		m.advance(end)
 	}
 }
 
-// PhaseHinter is an optional Workload interface consumed by the adaptive
-// stepper: NextPhaseChange returns the next instant the workload's traffic
-// components will change (a phase boundary), ok=false when none is
-// scheduled. The adaptive horizon never crosses a hinted boundary, so a
-// phase-scheduled workload wakes the solver exactly when its traffic
-// turns on. Workloads that change components through event-queue
+// PhaseHinter is an optional Workload interface consumed by the
+// event-driven stepper: NextPhaseChange returns the next instant the
+// workload's traffic components will change (a phase boundary), ok=false
+// when none is scheduled. A stretched step never crosses a hinted
+// boundary, so a phase-scheduled workload wakes the solver exactly when
+// its traffic turns on. Workloads that change components through event-queue
 // callbacks instead need no hint — due events already bound the horizon.
 type PhaseHinter interface {
 	NextPhaseChange(now int64) (at int64, ok bool)
 }
 
-// quiescent reports whether nothing dt-dependent is in flight: an
-// adaptive step may stretch only when the migration queue is empty, no
-// stall residue is draining, fault injection is off, and no tier is
-// offline (the offline sweep polls evacuation per quantum).
+// quiescent reports whether nothing dt-dependent is in flight: a step
+// may stretch only when the migration queue is empty, no stall residue
+// is draining, fault injection is off, and no tier is offline (the
+// offline sweep polls evacuation per quantum).
 func (m *Machine) quiescent() bool {
 	if len(m.Migrator.queue) != 0 || m.stall != 0 || m.Injector.Enabled() {
 		return false
@@ -915,7 +900,7 @@ func (m *Machine) trafficIdle() bool {
 // nextEventHorizon returns the earliest upcoming instant at which the
 // solver's inputs may change while the machine is quiescent: the next
 // due event, the next throughput-sample and telemetry instants (their
-// cadences are pinned by goldens, so adaptive steps land on the exact
+// cadences are pinned by goldens, so stretched steps land on the exact
 // same timestamps), and any workload-hinted phase boundary, all capped
 // at end.
 func (m *Machine) nextEventHorizon(now, end int64) int64 {
@@ -942,19 +927,22 @@ func (m *Machine) nextEventHorizon(now, end int64) int64 {
 	return h
 }
 
-// stepAdaptive advances one event-driven step: due events fire first
+// advance takes one event-driven step toward end: due events fire first
 // (they may start migrations, deposit stalls, or flip workload phases),
-// then the step runs over either the fixed quantum or — when the machine
-// is quiescent and no component moves bytes — the stretch to the next
-// event horizon in one analytic span.
-func (m *Machine) stepAdaptive(end int64) {
+// then the step runs over either the base quantum (clamped to end) or —
+// when the machine is quiescent and no component moves bytes — the
+// stretch to the next event horizon in one analytic span. The checks run
+// cheapest first: a step after one that moved bytes, or one that must
+// record telemetry, never reaches the quiescence test or the component
+// scan.
+func (m *Machine) advance(end int64) {
 	now := m.Clock.Now()
 	m.Events.RunDue(now)
 	dt := m.Cfg.Quantum
 	if left := end - now; left < dt {
 		dt = left
 	}
-	if m.quiescent() && !m.sampleDue(now) && m.trafficIdle() {
+	if !m.moved && !m.sampleDue(now) && m.quiescent() && m.trafficIdle() {
 		if h := m.nextEventHorizon(now, end); h-now > dt {
 			dt = h - now
 		}
@@ -974,17 +962,19 @@ func (m *Machine) sampleDue(now int64) bool {
 	return m.telemetry != nil && now-m.telemetry.last >= m.telemetry.every
 }
 
-// Step advances one quantum: fire due events, compute workload rates under
-// the contention model, account traffic (wear, PEBS samples, access-bit
-// integrals), advance migrations, and run manager background work.
+// Step advances exactly dt: fire due events, compute workload rates
+// under the contention model, account traffic (wear, PEBS samples,
+// access-bit integrals), advance migrations, and run manager background
+// work. Run and RunUntilDone choose their own step lengths; Step is the
+// fixed-dt primitive for callers that drive the schedule themselves.
 func (m *Machine) Step(dt int64) {
 	now := m.Clock.Now()
 	m.Events.RunDue(now)
 	m.stepBody(now, dt)
 }
 
-// stepBody is the quantum body shared by the fixed and adaptive paths;
-// due events have already fired.
+// stepBody is the step body shared by Step and advance; due events have
+// already fired.
 func (m *Machine) stepBody(now, dt int64) {
 	m.applyFaults(now, dt)
 
@@ -1126,6 +1116,7 @@ func (m *Machine) stepBody(now, dt int64) {
 	obsComps := m.obsComps[:0]
 	obsRates := m.obsRates[:0]
 	obs, observing := m.Mgr.(TrafficObserver)
+	m.moved = false
 	for i := range ws {
 		s := &ws[i]
 		ops := s.rate * float64(dt)
@@ -1140,6 +1131,7 @@ func (m *Machine) stepBody(now, dt int64) {
 			if occ <= 0 || c.Set == nil || c.Set.Len() == 0 {
 				continue
 			}
+			m.moved = m.moved || c.ReadBytes > 0 || c.WriteBytes > 0
 			if observing {
 				obsComps = append(obsComps, *c)
 				obsRates = append(obsRates, s.rate*c.Share)

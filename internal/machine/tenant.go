@@ -112,8 +112,9 @@ const (
 	// AdmitQueued: reservations don't fit right now; the arrival waits
 	// FIFO and starts when departures free enough reservation.
 	AdmitQueued
-	// AdmitRejected: the reservation exceeds a tier's total capacity and
-	// can never be met.
+	// AdmitRejected: the spec is malformed (a class outside Gold, Silver
+	// and BestEffort, or a negative Reserve or Cap) or its reservation
+	// exceeds a tier's total capacity and can never be met.
 	AdmitRejected
 )
 
@@ -201,13 +202,12 @@ func (m *Machine) AddWorkloadFor(w Workload, owner vm.TenantID) {
 // assigned, the manager is notified, and start is called to launch the
 // tenant's app. Arrivals that don't fit wait FIFO (head-of-line, so
 // admission order is deterministic) and start on a later departure;
-// reservations no machine state could ever satisfy are rejected.
+// malformed specs and reservations no machine state could ever satisfy
+// are rejected.
 func (tr *TenantRuntime) Admit(spec TenantSpec, start func(id vm.TenantID) TenantApp) (vm.TenantID, AdmitResult) {
-	for _, td := range tr.m.Cfg.Tiers {
-		if spec.Reserve[td.ID] > td.Capacity {
-			tr.stats.Rejected++
-			return vm.TenantNone, AdmitRejected
-		}
+	if !tr.admissible(spec) {
+		tr.stats.Rejected++
+		return vm.TenantNone, AdmitRejected
 	}
 	if len(tr.pending) > 0 || !tr.fits(spec) {
 		tr.pending = append(tr.pending, pendingAdmit{spec: spec, start: start})
@@ -215,6 +215,28 @@ func (tr *TenantRuntime) Admit(spec TenantSpec, start func(id vm.TenantID) Tenan
 		return vm.TenantNone, AdmitQueued
 	}
 	return tr.admit(spec, start), Admitted
+}
+
+// admissible reports whether spec could ever be admitted: its class
+// indexes the per-class tables (and keeps Weight's shift non-negative),
+// no quota is negative (a negative reservation would lower reserved[]
+// and let later tenants overcommit), and each tier's reservation fits
+// the tier's whole capacity.
+func (tr *TenantRuntime) admissible(spec TenantSpec) bool {
+	if spec.Class < BestEffort || spec.Class > Gold {
+		return false
+	}
+	for t := range spec.Reserve {
+		if spec.Reserve[t] < 0 || spec.Cap[t] < 0 {
+			return false
+		}
+	}
+	for _, td := range tr.m.Cfg.Tiers {
+		if spec.Reserve[td.ID] > td.Capacity {
+			return false
+		}
+	}
+	return true
 }
 
 // fits reports whether spec's reservation fits next to the active ones.
@@ -245,7 +267,7 @@ func (tr *TenantRuntime) admit(spec TenantSpec, start func(id vm.TenantID) Tenan
 // Depart begins tenant id's departure: its app stops generating traffic
 // immediately, and its regions drain through the normal migrator — the
 // runtime polls once per quantum (an event on the sim timeline, so
-// adaptive horizons see it) until no page of the tenant is still
+// Run's event horizons see it) until no page of the tenant is still
 // write-protected by an in-flight migration, then unmaps the regions,
 // releases the reservation, notifies the manager, and retries queued
 // arrivals. Unknown, departed, or still-launching IDs are no-ops.

@@ -175,3 +175,61 @@ func TestTenantSeriesCreatedMidRunAlign(t *testing.T) {
 			sawZeroRow, sawLiveRow)
 	}
 }
+
+// admitMalformed admits spec on a fresh two-tier machine, runs it for
+// 10 ms, and returns the admission result and the runtime.
+func admitMalformed(t *testing.T, spec TenantSpec) (AdmitResult, *TenantRuntime) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Tiers = []TierDesc{
+		{ID: vm.TierDRAM, Capacity: 256 * sim.MB},
+		{ID: vm.TierNVM, Capacity: 4 * sim.GB, UEVictim: true},
+	}
+	m := New(cfg, nopManager{})
+	tr := m.EnableTenants()
+	_, res := tr.Admit(spec, func(id vm.TenantID) TenantApp { return startTestTenant(m, id, 64*sim.MB) })
+	m.Run(10 * sim.Millisecond)
+	if st := tr.Stats(); res == AdmitRejected && (st.Rejected != 1 || st.Admitted != 0) {
+		t.Fatalf("rejected admit counted as %+v", st)
+	}
+	return res, tr
+}
+
+// A class past Gold has no per-class histogram: admitting it made the
+// first recorded quantum index classHist out of range.
+func TestAdmitRejectsClassAboveGold(t *testing.T) {
+	if res, _ := admitMalformed(t, TenantSpec{Name: "class3", Class: 3}); res != AdmitRejected {
+		t.Fatalf("class 3 admit = %v, want rejected", res)
+	}
+}
+
+// A negative class made Weight shift by a negative count (a panic in
+// the fair selector) and indexed classHist below zero.
+func TestAdmitRejectsNegativeClass(t *testing.T) {
+	if res, _ := admitMalformed(t, TenantSpec{Name: "class-1", Class: -1}); res != AdmitRejected {
+		t.Fatalf("class -1 admit = %v, want rejected", res)
+	}
+}
+
+// A negative reservation lowered the summed reservation, so later
+// tenants could reserve more than the tier holds.
+func TestAdmitRejectsNegativeReserve(t *testing.T) {
+	spec := TenantSpec{Name: "neg", Class: Gold}
+	spec.Reserve[vm.TierDRAM] = -128 * sim.MB
+	res, tr := admitMalformed(t, spec)
+	if res != AdmitRejected {
+		t.Fatalf("negative-reserve admit = %v, want rejected", res)
+	}
+	if got := tr.Reserved(vm.TierDRAM); got != 0 {
+		t.Fatalf("Reserved(DRAM) = %d after a rejected admit, want 0", got)
+	}
+}
+
+// A negative cap is no quota at all (0 already means uncapped).
+func TestAdmitRejectsNegativeCap(t *testing.T) {
+	spec := TenantSpec{Name: "negcap", Class: BestEffort}
+	spec.Cap[vm.TierDRAM] = -1
+	if res, _ := admitMalformed(t, spec); res != AdmitRejected {
+		t.Fatalf("negative-cap admit = %v, want rejected", res)
+	}
+}
